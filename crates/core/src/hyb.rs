@@ -52,29 +52,20 @@ impl<T: Scalar, I: Index> HybMatrix<T, I> {
         Self::from_csr_with_width(csr, choose_width(&counts, 0.95))
     }
 
-    /// Build from CSR with an explicit ELL width.
+    /// Build from CSR with an explicit ELL width: each row's first
+    /// `width` entries go to the ELL part, the rest to the tail.
     pub fn from_csr_with_width(csr: &CsrMatrix<T, I>, width: usize) -> Result<Self, SparseError> {
-        let rows = csr.rows();
-        let cols = csr.cols();
-        // Split each row at `width`.
-        let mut ell_trips: Vec<(usize, usize, T)> = Vec::new();
-        let mut tail = CooMatrix::new(rows, cols);
-        for i in 0..rows {
+        let mut tail = CooMatrix::new(csr.rows(), csr.cols());
+        for i in 0..csr.rows() {
             let (rcols, rvals) = csr.row(i);
-            for (slot, (&c, &v)) in rcols.iter().zip(rvals).enumerate() {
-                if slot < width {
-                    ell_trips.push((i, c.as_usize(), v));
-                } else {
-                    tail.push(i, c.as_usize(), v)?;
-                }
+            for (&c, &v) in rcols.iter().zip(rvals).skip(width) {
+                tail.push(i, c.as_usize(), v)?;
             }
         }
-        let ell_coo: CooMatrix<T, usize> = CooMatrix::from_triplets(rows, cols, &ell_trips)?;
-        let ell_coo: CooMatrix<T, I> = ell_coo
-            .with_index_type()
-            .ok_or_else(|| SparseError::Parse("index type too narrow for HYB split".into()))?;
-        let ell = EllMatrix::from_csr_with_width(&CsrMatrix::from_coo(&ell_coo), width)?;
-        Ok(HybMatrix { ell, tail })
+        Ok(HybMatrix {
+            ell: EllMatrix::build(csr, width),
+            tail,
+        })
     }
 
     /// Build from COO with the automatic width, routed through the
@@ -189,18 +180,43 @@ mod tests {
         assert!(hyb.stored_entries() < ell.stored_entries() / 2);
     }
 
+    /// `ell()` holds exactly each row's first `width` entries and
+    /// `tail()` the rest, in row order.
+    fn assert_split(coo: &CooMatrix<f64>, width: usize) {
+        let csr = CsrMatrix::from_coo(coo);
+        let hyb = HybMatrix::from_csr_with_width(&csr, width).unwrap();
+        assert_eq!(hyb.ell().width(), width);
+        let mut tail = Vec::new();
+        for i in 0..csr.rows() {
+            let (cols, vals) = csr.row(i);
+            let kept = cols.len().min(width);
+            assert_eq!(&hyb.ell().row_cols(i)[..kept], &cols[..kept], "row {i}");
+            assert_eq!(&hyb.ell().row_vals(i)[..kept], &vals[..kept], "row {i}");
+            assert!(hyb.ell().row_vals(i)[kept..].iter().all(|&v| v == 0.0));
+            tail.extend(
+                cols[kept..]
+                    .iter()
+                    .zip(&vals[kept..])
+                    .map(|(&c, &v)| (i, c, v)),
+            );
+        }
+        assert_eq!(hyb.tail().iter().collect::<Vec<_>>(), tail);
+        assert_eq!(hyb.ell().nnz() + hyb.tail().nnz(), coo.nnz());
+        assert_eq!(hyb.to_dense(), coo.to_dense());
+    }
+
     #[test]
-    fn explicit_width_extremes() {
+    fn explicit_widths_split_each_row_at_width() {
         let coo = skewed();
-        // Width 0: everything in the tail.
-        let hyb = HybMatrix::from_csr_with_width(&CsrMatrix::from_coo(&coo), 0).unwrap();
-        assert_eq!(hyb.ell().nnz(), 0);
-        assert_eq!(hyb.tail().nnz(), coo.nnz());
-        assert_eq!(hyb.to_dense(), coo.to_dense());
-        // Width = max: pure ELL, empty tail.
-        let hyb = HybMatrix::from_csr_with_width(&CsrMatrix::from_coo(&coo), 20).unwrap();
-        assert_eq!(hyb.tail().nnz(), 0);
-        assert_eq!(hyb.to_dense(), coo.to_dense());
+        let fullest = coo.row_counts().into_iter().max().unwrap();
+        // 0 sends everything to the tail; past the fullest row, none.
+        for width in [0, 1, 2, fullest, fullest + 2] {
+            assert_split(&coo, width);
+        }
+        let empty = CooMatrix::<f64>::new(4, 4);
+        for width in [0, 1] {
+            assert_split(&empty, width);
+        }
     }
 
     #[test]

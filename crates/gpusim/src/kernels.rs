@@ -23,21 +23,34 @@ pub const BLOCK: usize = 256;
 /// Reusable per-launch scratch: the accumulator row the CSR/ELL/SELL
 /// kernels keep per simulated thread. Simulated threads run sequentially,
 /// so one row suffices; reusing it across timed iterations removes the
-/// per-thread `vec![0; k]` the naive kernels would allocate. Growth and
-/// reuse feed the same `workspace.*` metrics the CPU arena reports.
+/// per-thread `vec![0; k]` the naive kernels would allocate. The scratch
+/// counts its own growth ([`GpuScratch::alloc_bytes`]); growth and reuse
+/// also feed the same `workspace.*` metrics the CPU arena reports.
 #[derive(Debug, Default)]
 pub struct GpuScratch<T> {
     acc: Vec<T>,
+    alloc_bytes: u64,
 }
 
 impl<T: Scalar> GpuScratch<T> {
     /// An empty scratch; the accumulator grows on first use.
     pub fn new() -> Self {
-        GpuScratch { acc: Vec::new() }
+        GpuScratch {
+            acc: Vec::new(),
+            alloc_bytes: 0,
+        }
+    }
+
+    /// Bytes this scratch has grown by since it was made.
+    pub fn alloc_bytes(&self) -> u64 {
+        self.alloc_bytes
     }
 
     fn acquire_acc(&mut self, k: usize) -> &mut Vec<T> {
         let grew = k > self.acc.capacity();
+        if grew {
+            self.alloc_bytes += (k * T::BYTES) as u64;
+        }
         if spmm_trace::enabled() {
             if grew {
                 spmm_trace::counter("workspace.alloc_count").inc();

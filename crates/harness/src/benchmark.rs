@@ -250,6 +250,11 @@ impl SuiteBenchmark {
         self.exec.as_ref().map(|e| e.result())
     }
 
+    /// Bytes the executor's buffers have grown by (0 before `format()`).
+    fn alloc_bytes(&self) -> u64 {
+        self.exec.as_ref().map_or(0, Executor::alloc_bytes)
+    }
+
     /// Simulated launch stats of the last GPU calc.
     pub fn last_gpu_stats(&self) -> Option<&LaunchStats> {
         self.exec.as_ref().and_then(|e| e.last_gpu_stats())
@@ -313,9 +318,9 @@ impl SpmmBenchmark for SuiteBenchmark {
 /// Each phase runs under a telemetry span (`format` / `warmup` /
 /// `calc[variant]` / `verify`), and the spans this run produced are folded
 /// into the report's phase tree when tracing is on. Under `--trace-level
-/// full` the run additionally audits the timed loop: any
-/// `workspace.alloc_bytes` growth between the warm-up and the last
-/// iteration fails the run, which is how CI pins the engine's
+/// full` the run additionally audits the timed loop: any growth of the
+/// executor's buffers between the warm-up and the last iteration fails
+/// the run, which is how CI pins the engine's
 /// zero-steady-state-allocation guarantee.
 pub fn run(bench: &mut SuiteBenchmark) -> Result<Report, HarnessError> {
     let params = bench.params.clone();
@@ -336,10 +341,10 @@ pub fn run(bench: &mut SuiteBenchmark) -> Result<Report, HarnessError> {
     }
 
     // Audit steady-state allocations across the timed loop when the run
-    // itself asked for full tracing (binaries set the global level from
-    // params before calling run, so the counters are live).
+    // itself asked for full tracing. The executor counts its own growth,
+    // so another executor preparing meanwhile cannot land in the delta.
     let audit_allocs = params.trace_level == TraceLevel::Full && spmm_trace::full_enabled();
-    let alloc_before = audit_allocs.then(spmm_trace::MetricsSnapshot::capture);
+    let alloc_before = audit_allocs.then(|| bench.alloc_bytes());
 
     let variant_tag = params.variant.name();
     let mut calc_err: Option<HarnessError> = None;
@@ -353,10 +358,7 @@ pub fn run(bench: &mut SuiteBenchmark) -> Result<Report, HarnessError> {
         return Err(e);
     }
 
-    let steady_alloc_bytes = alloc_before.map(|before| {
-        let delta = spmm_trace::MetricsSnapshot::capture().delta_since(&before);
-        delta.counter("workspace.alloc_bytes").unwrap_or(0)
-    });
+    let steady_alloc_bytes = alloc_before.map(|before| bench.alloc_bytes() - before);
     if let Some(bytes) = steady_alloc_bytes {
         if bytes > 0 {
             return Err(HarnessError::Calc(format!(

@@ -22,8 +22,7 @@
 
 use spmm_core::convert::{default_edge_cost, route_string};
 use spmm_core::{CooMatrix, DenseMatrix, MatrixProperties, MatrixStats, SparseFormat};
-use spmm_gpusim::{GpuScratch, LaunchStats};
-use spmm_kernels::kernel_api::{kernel_for, CpuBackend, CpuVariant, ExecContext, SpmmKernel};
+use spmm_gpusim::{DeviceProfile, GpuScratch, LaunchStats};
 use spmm_kernels::tiled::TileConfig;
 use spmm_kernels::{FormatData, Workspace};
 use spmm_parallel::global_pool;
@@ -32,27 +31,44 @@ use spmm_perfmodel::{
     SpmmWorkload,
 };
 
-use crate::benchmark::{Backend, Op, Variant};
+use crate::benchmark::{Op, Variant};
+use crate::capability::{self, BackendClass};
 use crate::errors::HarnessError;
 use crate::params::Params;
 
-/// How the executor runs one calculation.
+/// The kernel entry point the executor calls each iteration: one per row
+/// of the [`capability::TABLE`]. CPU strategies name a [`FormatData`]
+/// method; the GPU ones the simulator's kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecStrategy {
-    /// CPU SpMM through the typed kernel API.
-    Cpu(CpuBackend, CpuVariant),
-    /// Cache-blocked tiled SpMM against workspace-packed B panels.
-    CpuTiled {
-        /// Run the 2-D tiled loop on the pool rather than single-threaded.
-        parallel: bool,
-    },
-    /// Simulated GPU SpMM (`vendor` = the cuSPARSE-style library kernels).
-    Gpu {
-        /// Use the vendor-library kernels instead of the offload ones.
-        vendor: bool,
-    },
-    /// Sparse × vector (CPU only).
-    Spmv,
+    /// [`FormatData::spmm_serial`].
+    Serial,
+    /// [`FormatData::spmm_parallel`].
+    Parallel,
+    /// [`FormatData::spmm_serial_bt`] against the workspace's transposed B.
+    SerialTransposed,
+    /// [`FormatData::spmm_parallel_bt`].
+    ParallelTransposed,
+    /// [`FormatData::spmm_serial_fixed_k`].
+    SerialFixedK,
+    /// [`FormatData::spmm_parallel_fixed_k`].
+    ParallelFixedK,
+    /// [`FormatData::spmm_serial_simd`].
+    SerialSimd,
+    /// [`FormatData::spmm_serial_tiled`] against workspace-packed B panels.
+    SerialTiled,
+    /// [`FormatData::spmm_parallel_tiled`].
+    ParallelTiled,
+    /// The simulated GPU's OpenMP-offload kernels.
+    Gpu,
+    /// The simulated GPU's cuSPARSE-style library kernels.
+    GpuVendor,
+    /// [`FormatData::spmv_serial`].
+    SpmvSerial,
+    /// [`FormatData::spmv_parallel`].
+    SpmvParallel,
+    /// [`FormatData::spmv_serial_simd_at`] at the active SIMD level.
+    SpmvSimd,
 }
 
 /// Everything decided before the first byte is converted: the route, the
@@ -125,10 +141,11 @@ impl Planner {
 
     /// Build the plan for one benchmark: strategy, conversion route, tile
     /// shape and predictions. Fails when the parameter combination has no
-    /// kernel (the same rule table `ParamsBuilder` enforces up front).
+    /// row in the [`capability::TABLE`], the table `ParamsBuilder` checks
+    /// up front, so struct-built [`Params`] are held to it too.
     pub fn plan(&self, props: &MatrixProperties, params: &Params) -> Result<Plan, HarnessError> {
         let _span = spmm_trace::span!("plan");
-        let strategy = self.strategy(params)?;
+        let row = capability::lookup(params)?;
 
         let stats = MatrixStats {
             rows: props.rows,
@@ -158,36 +175,28 @@ impl Planner {
         )
         .with_col_window(props.bandwidth.max(1));
 
-        let tile = match strategy {
-            ExecStrategy::CpuTiled { .. } => {
-                let shape = select_tile_shape(
-                    &self.machine,
-                    &workload,
-                    &spmm_kernels::optimized::SUPPORTED_K,
-                );
-                Some(TileConfig::new(shape.panel_w, shape.row_block))
-            }
-            _ => None,
-        };
-
-        let predicted_mflops = match strategy {
-            ExecStrategy::Cpu(CpuBackend::Serial, CpuVariant::Simd) => Some(
-                estimate_spmm_mflops(&self.machine, &workload, 1)
-                    * simd_speedup(&self.machine, &workload),
-            ),
-            ExecStrategy::Cpu(CpuBackend::Serial, _)
-            | ExecStrategy::CpuTiled { parallel: false } => {
-                Some(estimate_spmm_mflops(&self.machine, &workload, 1))
-            }
-            ExecStrategy::Cpu(CpuBackend::Parallel, _)
-            | ExecStrategy::CpuTiled { parallel: true } => Some(estimate_spmm_mflops(
+        let tile = (row.variant == Variant::Tiled).then(|| {
+            let shape = select_tile_shape(
                 &self.machine,
                 &workload,
-                params.threads,
-            )),
-            // The model has no GPU or SpMV roofline.
-            ExecStrategy::Gpu { .. } | ExecStrategy::Spmv => None,
-        };
+                &spmm_kernels::optimized::SUPPORTED_K,
+            );
+            TileConfig::new(shape.panel_w, shape.row_block)
+        });
+
+        // The model has no GPU or SpMV roofline.
+        let cpu_spmm = row.op == Op::Spmm && row.backend != BackendClass::Gpu;
+        let predicted_mflops = cpu_spmm.then(|| {
+            let threads = match row.backend {
+                BackendClass::Parallel => params.threads,
+                _ => 1,
+            };
+            let simd = match row.variant {
+                Variant::Simd => simd_speedup(&self.machine, &workload),
+                _ => 1.0,
+            };
+            estimate_spmm_mflops(&self.machine, &workload, threads) * simd
+        });
 
         Ok(Plan {
             params: params.clone(),
@@ -195,47 +204,9 @@ impl Planner {
             tile,
             predicted_mflops,
             conversion_s: conversion_seconds(&self.machine, route_bytes),
-            strategy,
+            strategy: row.strategy,
         })
     }
-
-    fn strategy(&self, params: &Params) -> Result<ExecStrategy, HarnessError> {
-        if params.op == Op::Spmv {
-            if params.backend.device().is_some() {
-                return Err(HarnessError::Unsupported(
-                    "SpMV has no GPU kernels (SpMM only)".to_string(),
-                ));
-            }
-            return Ok(ExecStrategy::Spmv);
-        }
-        if params.backend.device().is_some() {
-            return Ok(ExecStrategy::Gpu {
-                vendor: params.variant == Variant::Vendor,
-            });
-        }
-        let parallel = params.backend == Backend::Parallel;
-        Ok(match params.variant {
-            Variant::Tiled => ExecStrategy::CpuTiled { parallel },
-            Variant::Vendor => {
-                return Err(HarnessError::Unsupported(
-                    "the cuSPARSE variant requires a GPU backend".to_string(),
-                ))
-            }
-            Variant::Normal => cpu(parallel, CpuVariant::Normal),
-            Variant::TransposedB => cpu(parallel, CpuVariant::TransposedB),
-            Variant::FixedK => cpu(parallel, CpuVariant::FixedK),
-            Variant::Simd => cpu(parallel, CpuVariant::Simd),
-        })
-    }
-}
-
-fn cpu(parallel: bool, variant: CpuVariant) -> ExecStrategy {
-    let backend = if parallel {
-        CpuBackend::Parallel
-    } else {
-        CpuBackend::Serial
-    };
-    ExecStrategy::Cpu(backend, variant)
 }
 
 /// Owns a [`Plan`] plus every buffer it needs; `prepare` once, `execute`
@@ -243,7 +214,6 @@ fn cpu(parallel: bool, variant: CpuVariant) -> ExecStrategy {
 pub struct Executor {
     plan: Plan,
     data: Option<FormatData<f64>>,
-    kernel: Option<Box<dyn SpmmKernel<f64, usize>>>,
     ws: Workspace<f64>,
     gpu: GpuScratch<f64>,
     last_gpu_stats: Option<LaunchStats>,
@@ -255,7 +225,6 @@ impl Executor {
         Executor {
             plan,
             data: None,
-            kernel: None,
             ws: Workspace::new(),
             gpu: GpuScratch::new(),
             last_gpu_stats: None,
@@ -288,6 +257,13 @@ impl Executor {
         self.ws.y()
     }
 
+    /// Bytes this executor's workspace and GPU scratch have grown by since
+    /// it was made. Counted per executor, so concurrent executors cannot
+    /// land in each other's steady-state audit.
+    pub fn alloc_bytes(&self) -> u64 {
+        self.ws.alloc_bytes() + self.gpu.alloc_bytes()
+    }
+
     /// Convert the matrix along the planned route and grow every buffer
     /// the strategy needs. This is the benchmark's "formatting" phase.
     pub fn prepare(
@@ -303,19 +279,11 @@ impl Executor {
         self.plan.route = route;
 
         match self.plan.strategy {
-            ExecStrategy::Cpu(backend, variant) => {
-                self.kernel =
-                    Some(kernel_for::<f64, usize>(backend, variant).ok_or_else(|| {
-                        HarnessError::Unsupported(
-                            "the simd variant is serial-only (use the tiled path)".to_string(),
-                        )
-                    })?);
-                if variant == CpuVariant::TransposedB {
-                    self.ws.acquire_bt(b);
-                }
+            ExecStrategy::SerialTransposed | ExecStrategy::ParallelTransposed => {
+                self.ws.acquire_bt(b);
                 self.ws.acquire_c(coo.rows(), params.k);
             }
-            ExecStrategy::CpuTiled { .. } => {
+            ExecStrategy::SerialTiled | ExecStrategy::ParallelTiled => {
                 let cfg = self
                     .plan
                     .tile
@@ -324,11 +292,11 @@ impl Executor {
                 self.ws.acquire_packed(b, params.k, cfg.panel_w);
                 self.ws.acquire_c(coo.rows(), params.k);
             }
-            ExecStrategy::Gpu { .. } => {
-                self.ws.acquire_c(coo.rows(), params.k);
-            }
-            ExecStrategy::Spmv => {
+            ExecStrategy::SpmvSerial | ExecStrategy::SpmvParallel | ExecStrategy::SpmvSimd => {
                 self.ws.acquire_y(coo.rows());
+            }
+            _ => {
+                self.ws.acquire_c(coo.rows(), params.k);
             }
         }
         self.data = Some(data);
@@ -339,146 +307,119 @@ impl Executor {
     /// (ignored by SpMM strategies). Performs no allocations: every
     /// buffer was grown by `prepare`.
     pub fn execute(&mut self, b: &DenseMatrix<f64>, x: &[f64]) -> Result<(), HarnessError> {
-        let params = &self.plan.params;
-        let k = params.k;
         let data = self
             .data
             .as_ref()
             .ok_or_else(|| HarnessError::Calc("calc() before format()".into()))?;
-        match self.plan.strategy {
-            ExecStrategy::Cpu(_, _) => {
-                let kernel = self.kernel.as_ref().expect("prepare built the kernel");
-                let view = self.ws.split();
-                let bt = if view.bt.rows() > 0 {
-                    Some(view.bt)
-                } else {
-                    None
-                };
-                let ctx = ExecContext {
-                    pool: global_pool(),
-                    threads: params.threads,
-                    schedule: params.schedule,
-                };
-                kernel.execute(data, b, bt, k, &ctx, view.c)?;
-            }
-            ExecStrategy::CpuTiled { parallel } => {
-                let cfg = self.plan.tile.expect("prepare pinned the tile shape");
-                let view = self.ws.split();
-                let ran = if parallel {
-                    data.spmm_parallel_tiled(
-                        global_pool(),
-                        params.threads,
-                        params.schedule,
-                        view.packed,
-                        cfg,
-                        view.c,
-                    )
-                } else {
-                    data.spmm_serial_tiled(view.packed, cfg, view.c)
-                };
-                if !ran {
-                    return Err(HarnessError::Unsupported(format!(
-                        "no tiled kernel for {} (csr/ell/bcsr only)",
-                        params.format
-                    )));
-                }
-            }
-            ExecStrategy::Gpu { vendor } => {
-                let device = params
-                    .backend
-                    .device()
-                    .expect("gpu strategy implies a device");
-                let c = self.ws.c_mut();
-                let stats = if vendor {
-                    match data {
-                        FormatData::Csr(m) => {
-                            spmm_gpusim::vendor::cusparse_csr_spmm(&device, m, b, k, c)
-                        }
-                        FormatData::Coo(m) => {
-                            spmm_gpusim::vendor::cusparse_coo_spmm(&device, m, b, k, c)
-                        }
-                        other => {
-                            return Err(HarnessError::Unsupported(format!(
-                                "cuSPARSE provides only COO and CSR SpMM (asked for {})",
-                                other.format()
-                            )))
-                        }
-                    }
-                } else {
-                    match data {
-                        FormatData::Coo(m) => {
-                            spmm_gpusim::kernels::coo_spmm_gpu(&device, m, b, k, c)
-                        }
-                        FormatData::Csr(m) => spmm_gpusim::kernels::csr_spmm_gpu_in(
-                            &device,
-                            m,
-                            b,
-                            k,
-                            c,
-                            &mut self.gpu,
-                        ),
-                        FormatData::Ell(m) => spmm_gpusim::kernels::ell_spmm_gpu_in(
-                            &device,
-                            m,
-                            b,
-                            k,
-                            c,
-                            &mut self.gpu,
-                        ),
-                        FormatData::Bcsr(m) => {
-                            spmm_gpusim::kernels::bcsr_spmm_gpu(&device, m, b, k, c)
-                        }
-                        FormatData::Sell(m) => spmm_gpusim::kernels::sell_spmm_gpu_in(
-                            &device,
-                            m,
-                            b,
-                            k,
-                            c,
-                            &mut self.gpu,
-                        ),
-                        other => {
-                            return Err(HarnessError::Unsupported(format!(
-                                "no GPU kernel for format {}",
-                                other.format()
-                            )))
-                        }
-                    }
-                };
-                self.last_gpu_stats = Some(stats);
-            }
-            ExecStrategy::Spmv => {
-                let view = self.ws.split();
-                let y = view.y.as_mut_slice();
-                let ok = match (params.backend, params.variant) {
-                    (Backend::Serial, Variant::Normal) => data.spmv_serial(x, y),
-                    (Backend::Serial, Variant::Simd) => {
-                        data.spmv_serial_simd_at(spmm_kernels::simd::active_level(), x, y)
-                    }
-                    (Backend::Parallel, Variant::Normal) => {
-                        data.spmv_parallel(global_pool(), params.threads, params.schedule, x, y)
-                    }
-                    _ => {
-                        return Err(HarnessError::Unsupported(
-                            "SpMV supports only the normal and simd variants".to_string(),
-                        ))
-                    }
-                };
-                if !ok {
-                    return Err(HarnessError::Unsupported(format!(
-                        "{} has no SpMV kernel",
-                        params.format
-                    )));
-                }
-            }
-        }
+        self.last_gpu_stats = run_kernel(&self.plan, data, b, x, &mut self.ws, &mut self.gpu)?;
         Ok(())
     }
+}
+
+/// Call `plan.strategy`'s entry point on `data`, writing into the
+/// workspace's C (or y). Returns the simulated launch stats of a GPU
+/// strategy, and a typed error when the entry point has no kernel for
+/// `data`'s format (the planner's table lookup rules that out).
+pub(crate) fn run_kernel(
+    plan: &Plan,
+    data: &FormatData<f64>,
+    b: &DenseMatrix<f64>,
+    x: &[f64],
+    ws: &mut Workspace<f64>,
+    gpu: &mut GpuScratch<f64>,
+) -> Result<Option<LaunchStats>, HarnessError> {
+    use ExecStrategy as S;
+    let params = &plan.params;
+    let (k, threads, schedule) = (params.k, params.threads, params.schedule);
+    let view = ws.split();
+    let tile = || plan.tile.expect("prepare pinned the tile shape");
+    let mut stats = None;
+    let ran = match plan.strategy {
+        S::Serial => {
+            data.spmm_serial(b, k, view.c);
+            true
+        }
+        S::Parallel => {
+            data.spmm_parallel(global_pool(), threads, schedule, b, k, view.c);
+            true
+        }
+        S::SerialTransposed => data.spmm_serial_bt(view.bt, k, view.c),
+        S::ParallelTransposed => {
+            data.spmm_parallel_bt(global_pool(), threads, schedule, view.bt, k, view.c)
+        }
+        S::SerialFixedK => data.spmm_serial_fixed_k(b, k, view.c),
+        S::ParallelFixedK => {
+            data.spmm_parallel_fixed_k(global_pool(), threads, schedule, b, k, view.c)
+        }
+        S::SerialSimd => data.spmm_serial_simd(b, k, view.c),
+        S::SerialTiled => data.spmm_serial_tiled(view.packed, tile(), view.c),
+        S::ParallelTiled => data.spmm_parallel_tiled(
+            global_pool(),
+            threads,
+            schedule,
+            view.packed,
+            tile(),
+            view.c,
+        ),
+        S::Gpu | S::GpuVendor => {
+            let device = params
+                .backend
+                .device()
+                .expect("gpu strategy implies a device");
+            stats = gpu_spmm(
+                &device,
+                plan.strategy == S::GpuVendor,
+                data,
+                b,
+                k,
+                view.c,
+                gpu,
+            );
+            stats.is_some()
+        }
+        S::SpmvSerial => data.spmv_serial(x, view.y),
+        S::SpmvParallel => data.spmv_parallel(global_pool(), threads, schedule, x, view.y),
+        S::SpmvSimd => data.spmv_serial_simd_at(spmm_kernels::simd::active_level(), x, view.y),
+    };
+    if !ran {
+        return Err(HarnessError::Unsupported(format!(
+            "the {:?} kernel has no {} implementation",
+            plan.strategy,
+            data.format()
+        )));
+    }
+    Ok(stats)
+}
+
+/// The simulated GPU's SpMM for `data`'s format: the cuSPARSE-style
+/// library kernels when `vendor`, else the OpenMP-offload ones. `None`
+/// for formats without a kernel.
+fn gpu_spmm(
+    device: &DeviceProfile,
+    vendor: bool,
+    data: &FormatData<f64>,
+    b: &DenseMatrix<f64>,
+    k: usize,
+    c: &mut DenseMatrix<f64>,
+    scratch: &mut GpuScratch<f64>,
+) -> Option<LaunchStats> {
+    use spmm_gpusim::{kernels as offload, vendor as lib};
+    Some(match (vendor, data) {
+        (true, FormatData::Coo(m)) => lib::cusparse_coo_spmm(device, m, b, k, c),
+        (true, FormatData::Csr(m)) => lib::cusparse_csr_spmm(device, m, b, k, c),
+        (false, FormatData::Coo(m)) => offload::coo_spmm_gpu(device, m, b, k, c),
+        (false, FormatData::Csr(m)) => offload::csr_spmm_gpu_in(device, m, b, k, c, scratch),
+        (false, FormatData::Ell(m)) => offload::ell_spmm_gpu_in(device, m, b, k, c, scratch),
+        (false, FormatData::Bcsr(m)) => offload::bcsr_spmm_gpu(device, m, b, k, c),
+        (false, FormatData::Sell(m)) => offload::sell_spmm_gpu_in(device, m, b, k, c, scratch),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::Params;
+    use crate::benchmark::Backend;
 
     fn props_and_coo() -> (CooMatrix<f64>, MatrixProperties) {
         let mut trips = Vec::new();
@@ -519,10 +460,7 @@ mod tests {
             ..Params::default()
         };
         let plan = Planner::new().plan(&props, &params).unwrap();
-        assert!(matches!(
-            plan.strategy,
-            ExecStrategy::CpuTiled { parallel: false }
-        ));
+        assert_eq!(plan.strategy, ExecStrategy::SerialTiled);
         let tile = plan.tile.unwrap();
         assert!(tile.panel_w >= 1 && tile.panel_w <= 16);
 
@@ -542,7 +480,7 @@ mod tests {
             ..Params::default()
         };
         let plan = Planner::new().plan(&props, &gpu).unwrap();
-        assert!(matches!(plan.strategy, ExecStrategy::Gpu { vendor: false }));
+        assert_eq!(plan.strategy, ExecStrategy::Gpu);
         assert!(plan.predicted_mflops.is_none());
 
         let spmv = Params {
@@ -550,7 +488,7 @@ mod tests {
             ..Params::default()
         };
         let plan = Planner::new().plan(&props, &spmv).unwrap();
-        assert!(matches!(plan.strategy, ExecStrategy::Spmv));
+        assert_eq!(plan.strategy, ExecStrategy::SpmvSerial);
         assert!(plan.predicted_mflops.is_none());
 
         let gpu_spmv = Params {

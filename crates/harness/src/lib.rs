@@ -11,6 +11,9 @@
 //! * [`benchmark`] — the [`benchmark::SpmmBenchmark`] trait mirroring the
 //!   C++ class, a concrete [`benchmark::SuiteBenchmark`] covering every
 //!   (format × backend × variant) combination, and the timing loop;
+//! * [`capability`] — the kernel-support table: every runnable
+//!   (op × backend × variant) and the formats it covers, read by
+//!   validation, the planner, the executor and the verify matrix;
 //! * [`engine`] — the plan/execute split behind the benchmark: a
 //!   [`engine::Planner`] that picks conversion route, tile shape and
 //!   strategy up front, and an [`engine::Executor`] whose workspace
@@ -35,6 +38,7 @@
 #![forbid(unsafe_code)]
 
 pub mod benchmark;
+pub mod capability;
 pub mod chart;
 pub mod engine;
 pub mod errors;

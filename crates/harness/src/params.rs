@@ -1,8 +1,9 @@
 //! The suite's command-line parameters (§4.3 of the paper).
 //!
-//! [`Params`] is built through [`ParamsBuilder`], which validates
-//! cross-field constraints (backend × variant × format × op) once, at
-//! build time; [`Params::parse`] is a thin flag loop over the builder.
+//! [`Params`] is built through [`ParamsBuilder`], which checks field
+//! ranges and looks the (op × format × backend × variant) combination up
+//! in the [`crate::capability`] table once, at build time;
+//! [`Params::parse`] is a thin flag loop over the builder.
 
 use spmm_core::SparseFormat;
 use spmm_parallel::Schedule;
@@ -223,13 +224,10 @@ fn invalid(msg: impl Into<String>) -> HarnessError {
     HarnessError::InvalidParams(msg.into())
 }
 
-/// The cross-field rule table. Field-range checks first, then the
-/// backend × variant × format × op kernel-matrix constraints (mirroring
-/// what the dispatch layer actually implements, so failures surface at
-/// build time with an explanation instead of deep inside `calc`).
+/// Field-range checks, then the combination's row in the
+/// [`crate::capability`] table, so failures surface at build time with an
+/// explanation instead of deep inside `calc`.
 fn validate(p: &Params) -> Result<(), HarnessError> {
-    use SparseFormat as F;
-
     if p.iterations == 0 {
         return Err(invalid("-n must be at least 1"));
     }
@@ -248,108 +246,7 @@ fn validate(p: &Params) -> Result<(), HarnessError> {
     if p.thread_list.contains(&0) {
         return Err(invalid("--thread-list entries must be at least 1"));
     }
-
-    let gpu = p.backend.device().is_some();
-    match p.variant {
-        Variant::Vendor => {
-            if !gpu {
-                return Err(invalid("the cuSPARSE variant requires a GPU backend"));
-            }
-            if !matches!(p.format, F::Coo | F::Csr) {
-                return Err(invalid(format!(
-                    "the cuSPARSE variant supports coo/csr only (got {})",
-                    p.format
-                )));
-            }
-        }
-        Variant::Simd => {
-            if p.backend != Backend::Serial {
-                return Err(invalid(
-                    "the simd variant is serial-only (use the tiled path)",
-                ));
-            }
-            let ok = match p.op {
-                Op::Spmm => matches!(p.format, F::Csr | F::Ell | F::Bcsr | F::Sell),
-                Op::Spmv => matches!(p.format, F::Csr | F::Sell),
-            };
-            if !ok {
-                return Err(invalid(format!(
-                    "no simd kernel for {}/{:?}",
-                    p.format, p.op
-                )));
-            }
-        }
-        Variant::TransposedB => {
-            if gpu || !F::PAPER.contains(&p.format) {
-                return Err(invalid(format!(
-                    "the transposed variant covers the paper's cpu formats only (got {}/{})",
-                    p.format,
-                    p.backend.name()
-                )));
-            }
-        }
-        Variant::FixedK => {
-            if gpu {
-                return Err(invalid("the fixed-k variant is cpu-only"));
-            }
-            let ok = match p.backend {
-                Backend::Serial => F::PAPER.contains(&p.format),
-                Backend::Parallel => matches!(p.format, F::Csr | F::Ell),
-                _ => false,
-            };
-            if !ok {
-                return Err(invalid(format!(
-                    "no fixed-k kernel for {}/{}",
-                    p.format,
-                    p.backend.name()
-                )));
-            }
-            if p.op == Op::Spmm && !spmm_kernels::kernel_api::supported_fixed_k().contains(&p.k) {
-                return Err(invalid(format!(
-                    "k={} has no fixed-k instantiation (supported: {:?})",
-                    p.k,
-                    spmm_kernels::kernel_api::supported_fixed_k()
-                )));
-            }
-        }
-        Variant::Tiled => {
-            if gpu {
-                return Err(invalid("the tiled variant is cpu-only"));
-            }
-            if p.op == Op::Spmv {
-                return Err(invalid("spmv supports the normal and simd variants only"));
-            }
-            if !matches!(p.format, F::Csr | F::Ell | F::Bcsr) {
-                return Err(invalid(format!(
-                    "the tiled engine covers csr/ell/bcsr only (got {})",
-                    p.format
-                )));
-            }
-        }
-        Variant::Normal => {}
-    }
-
-    if gpu {
-        if p.op == Op::Spmv {
-            return Err(invalid("spmv has no gpu backend"));
-        }
-        if p.variant == Variant::Normal
-            && !matches!(p.format, F::Coo | F::Csr | F::Ell | F::Bcsr | F::Sell)
-        {
-            return Err(invalid(format!("no gpu kernel for {}", p.format)));
-        }
-    }
-
-    if p.op == Op::Spmv {
-        if !matches!(p.variant, Variant::Normal | Variant::Simd) {
-            return Err(invalid("spmv supports the normal and simd variants only"));
-        }
-        if p.variant == Variant::Normal && !F::PAPER.contains(&p.format) {
-            return Err(invalid(format!("no spmv kernel for {}", p.format)));
-        }
-    }
-
-    Ok(())
+    crate::capability::lookup(p).map(|_| ())
 }
 
 impl Params {
@@ -360,7 +257,7 @@ impl Params {
 
     /// Parse from CLI-style arguments (without the program name). A thin
     /// flag loop over [`ParamsBuilder`]: flags populate fields, then the
-    /// builder's `build` runs the validation table.
+    /// builder's `build` runs the field checks and the capability lookup.
     pub fn parse(args: &[String]) -> Result<Params, HarnessError> {
         let mut b = Params::builder();
         let bad = |msg: String| HarnessError::InvalidParams(msg);
@@ -577,62 +474,15 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_cross_field_rules() {
-        use crate::benchmark::{Backend, Op, Variant};
-        use SparseFormat as F;
-
-        // The kernel matrix's supported pairs build fine.
-        assert!(Params::builder()
-            .format(F::Sell)
-            .variant(Variant::Simd)
-            .build()
-            .is_ok());
-        assert!(Params::builder()
-            .format(F::Bcsr)
-            .backend(Backend::Parallel)
-            .variant(Variant::Tiled)
-            .build()
-            .is_ok());
-        assert!(Params::builder()
-            .backend(Backend::GpuH100)
-            .variant(Variant::Vendor)
-            .build()
-            .is_ok());
-
-        // Unsupported pairs fail at build time with InvalidParams.
+    fn builder_rejects_out_of_range_fields() {
+        // The kernel grid is checked cell by cell in `capability`'s test.
         let cases: &[ParamsBuilder] = &[
-            // bell has no transposed kernel
-            Params::builder()
-                .format(F::Bell)
-                .variant(Variant::TransposedB),
-            // cuSPARSE needs a GPU
-            Params::builder().variant(Variant::Vendor),
-            // cuSPARSE is coo/csr only
-            Params::builder()
-                .backend(Backend::GpuH100)
-                .format(F::Ell)
-                .variant(Variant::Vendor),
-            // simd is serial-only
-            Params::builder()
-                .backend(Backend::Parallel)
-                .variant(Variant::Simd),
-            // no simd kernel for coo
-            Params::builder().format(F::Coo).variant(Variant::Simd),
-            // tiled is cpu-only and covers csr/ell/bcsr
-            Params::builder()
-                .backend(Backend::GpuH100)
-                .variant(Variant::Tiled),
-            Params::builder().format(F::Coo).variant(Variant::Tiled),
-            Params::builder().variant(Variant::Tiled).op(Op::Spmv),
-            // spmv is cpu-only
-            Params::builder().backend(Backend::GpuA100).op(Op::Spmv),
-            // fixed-k needs an instantiated k
-            Params::builder().variant(Variant::FixedK).k(100),
-            // zero fields
             Params::builder().iterations(0),
             Params::builder().k(0),
+            Params::builder().block(0),
             Params::builder().threads(0),
             Params::builder().scale(0.0),
+            Params::builder().thread_list(vec![2, 0]),
         ];
         for (i, case) in cases.iter().enumerate() {
             assert!(

@@ -3,24 +3,23 @@
 //! pair, so the verify pass exercises plans exactly as benchmarks do —
 //! conversion routes, workspace arenas, kernel selection and all.
 //!
-//! The combination matrix is not hand-enumerated: [`EngineRunner`]
-//! proposes every (format × backend × variant × schedule × op) tuple and
-//! keeps the ones [`crate::params::ParamsBuilder`] accepts, so the
-//! differential matrix stays in lockstep with the validation table and
-//! the dispatch layer it mirrors. `spmm-bench --verify` and the CI
-//! `verify` job drive [`run_verify`].
+//! The combination matrix is not hand-enumerated: [`EngineRunner`] reads
+//! it off the [`crate::capability`] table (every row × listed format ×
+//! backend of the row's class × schedule), so the differential matrix is
+//! the same grid validation, planning and execution use.
+//! `spmm-bench --verify` and the CI `verify` job drive [`run_verify`].
 
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-use spmm_core::SparseFormat;
 use spmm_verify::{
     adversarial_corpus, random_corpus, run_differential, Case, CaseRunner, Combo, DiffConfig,
     DiffReport, ErrorModel, RunOutput, VerifyOp,
 };
 
 use crate::benchmark::{Backend, Op, Variant};
+use crate::capability::{BackendClass, Capability, TABLE};
 use crate::engine::{Executor, Planner};
 use crate::errors::HarnessError;
 use crate::params::Params;
@@ -67,21 +66,6 @@ pub fn build_corpus(kind: CorpusKind, seed: u64) -> Vec<Case> {
     }
 }
 
-const BACKENDS: [Backend; 4] = [
-    Backend::Serial,
-    Backend::Parallel,
-    Backend::GpuH100,
-    Backend::GpuA100,
-];
-const VARIANTS: [Variant; 6] = [
-    Variant::Normal,
-    Variant::TransposedB,
-    Variant::FixedK,
-    Variant::Simd,
-    Variant::Tiled,
-    Variant::Vendor,
-];
-
 /// A [`CaseRunner`] over the plan/execute engine.
 pub struct EngineRunner {
     /// Thread count for parallel combinations.
@@ -98,7 +82,8 @@ impl Default for EngineRunner {
 
 impl EngineRunner {
     /// Reconstruct the [`Params`] a combo stands for, re-running the
-    /// builder's validation (`Err` means the tuple has no kernel).
+    /// builder's validation (`Err` means the tuple has no kernel for this
+    /// case).
     fn params_for(&self, combo: &Combo, case: &Case) -> Result<Params, HarnessError> {
         let backend = Backend::from_str(&combo.backend).map_err(HarnessError::InvalidParams)?;
         let variant = Variant::from_str(&combo.variant).map_err(HarnessError::InvalidParams)?;
@@ -124,56 +109,47 @@ impl EngineRunner {
             .build()
     }
 
-    /// The error model for one combination: anything that reorders sums —
-    /// SIMD lanes, unrolled fixed-k accumulators, thread-parallel or GPU
-    /// reductions — gets the reassociating budget.
-    fn model_for(backend: Backend, variant: Variant, threads: usize) -> ErrorModel {
-        let lanes = match backend {
-            Backend::Serial => 8, // widest SIMD lane count in the suite
-            Backend::Parallel => threads.max(8),
-            Backend::GpuH100 | Backend::GpuA100 => 32,
-        };
-        // TransposedB counts too: its scatter uses `mul_add`, and fused
-        // rounding is one of the reassociation-class deviations the model
-        // budgets for (SIMD / FMA / parallel reduction).
-        let reassociates = backend != Backend::Serial
-            || matches!(
-                variant,
-                Variant::Simd | Variant::FixedK | Variant::Tiled | Variant::TransposedB
-            );
-        if reassociates {
-            ErrorModel::reassociating(lanes)
-        } else {
-            ErrorModel::sequential()
+    /// The error model for one combination: a row that reorders sums
+    /// gets the reassociating budget, with the lane count of its backend.
+    fn model_for(row: &Capability, threads: usize) -> ErrorModel {
+        if !row.reassociates {
+            return ErrorModel::sequential();
         }
+        ErrorModel::reassociating(match row.backend {
+            BackendClass::Serial => 8, // widest SIMD lane count in the suite
+            BackendClass::Parallel => threads.max(8),
+            BackendClass::Gpu => 32,
+        })
     }
 }
 
 impl CaseRunner for EngineRunner {
     fn combos(&self, case: &Case) -> Vec<Combo> {
         let mut combos = Vec::new();
-        for op in [VerifyOp::Spmm, VerifyOp::Spmv] {
-            for format in SparseFormat::ALL {
-                for backend in BACKENDS {
-                    let schedules: &[&str] = if backend == Backend::Parallel {
-                        &["static", "dynamic,16", "guided,4"]
-                    } else {
-                        &["static"]
-                    };
-                    for variant in VARIANTS {
-                        for schedule in schedules {
-                            let combo = Combo {
-                                format,
-                                backend: backend.name().to_string(),
-                                variant: variant.name().to_string(),
-                                schedule: schedule.to_string(),
-                                op,
-                                model: Self::model_for(backend, variant, self.threads),
-                            };
-                            if self.params_for(&combo, case).is_ok() {
-                                combos.push(combo);
-                            }
-                        }
+        for row in &TABLE {
+            if row.fixed_k.is_some_and(|ks| !ks.contains(&case.k)) {
+                continue;
+            }
+            let op = match row.op {
+                Op::Spmm => VerifyOp::Spmm,
+                Op::Spmv => VerifyOp::Spmv,
+            };
+            let schedules: &[&str] = if row.backend == BackendClass::Parallel {
+                &["static", "dynamic,16", "guided,4"]
+            } else {
+                &["static"]
+            };
+            for &format in row.formats {
+                for backend in row.backend.backends() {
+                    for schedule in schedules {
+                        combos.push(Combo {
+                            format,
+                            backend: backend.name().to_string(),
+                            variant: row.variant.name().to_string(),
+                            schedule: schedule.to_string(),
+                            op,
+                            model: Self::model_for(row, self.threads),
+                        });
                     }
                 }
             }
@@ -247,49 +223,24 @@ mod tests {
     use spmm_verify::DiffConfig;
 
     #[test]
-    fn combo_matrix_mirrors_the_validation_table() {
+    fn combo_matrix_mirrors_the_capability_table() {
         let runner = EngineRunner::default();
         let case = &adversarial_corpus()[2]; // empty-rows: 8x8, k=8
         let combos = runner.combos(case);
-        // Spot checks against the kernel matrix: serial/simd exists for
-        // csr but not coo; cuSPARSE exists on GPU for csr only; spmv has
-        // no GPU rows at all.
-        let has = |f: SparseFormat, b: &str, v: &str, op: VerifyOp| {
-            combos
-                .iter()
-                .any(|c| c.format == f && c.backend == b && c.variant == v && c.op == op)
+        // Every combo is a tuple the builder accepts, and every table
+        // cell is there, the parallel ones once per schedule.
+        for c in &combos {
+            assert!(runner.params_for(c, case).is_ok(), "{}", c.label());
+        }
+        assert_eq!(combos.len(), 106);
+        // A k without a const-K instantiation drops the fixed-k rows.
+        let odd_k = Case {
+            k: 9,
+            ..case.clone()
         };
-        assert!(has(SparseFormat::Csr, "serial", "simd", VerifyOp::Spmm));
-        assert!(!has(SparseFormat::Coo, "serial", "simd", VerifyOp::Spmm));
-        assert!(has(
-            SparseFormat::Csr,
-            "gpu-h100",
-            "cusparse",
-            VerifyOp::Spmm
-        ));
-        assert!(!has(
-            SparseFormat::Ell,
-            "gpu-h100",
-            "cusparse",
-            VerifyOp::Spmm
-        ));
-        assert!(combos
-            .iter()
-            .filter(|c| c.op == VerifyOp::Spmv)
-            .all(|c| c.backend == "serial" || c.backend == "omp"));
-        // Parallel combos fan out over three schedules.
-        assert_eq!(
-            combos
-                .iter()
-                .filter(|c| c.format == SparseFormat::Csr
-                    && c.backend == "omp"
-                    && c.variant == "normal"
-                    && c.op == VerifyOp::Spmm)
-                .count(),
-            3
-        );
-        // The full matrix is substantial — the table is worth printing.
-        assert!(combos.len() > 80, "got {} combos", combos.len());
+        let fixed_k = |c: &Combo| c.variant == "fixed-k";
+        assert!(combos.iter().any(fixed_k));
+        assert!(!runner.combos(&odd_k).iter().any(fixed_k));
     }
 
     #[test]

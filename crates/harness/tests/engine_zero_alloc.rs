@@ -1,9 +1,7 @@
 //! Steady-state allocation audit for the plan/execute engine.
 //!
-//! This lives in its own integration-test binary (its own process) because
-//! it raises the global trace level: the `workspace.*` counters are
-//! process-wide, so any concurrently preparing executor in the same
-//! process would pollute the delta. Here, nothing else runs.
+//! Each executor counts its own buffer growth, so these tests hold while
+//! other tests in the process prepare executors of their own.
 
 use spmm_core::SparseFormat;
 use spmm_harness::{run, Backend, SuiteBenchmark, Variant};
@@ -22,13 +20,10 @@ fn small_params(format: SparseFormat) -> Params {
 }
 
 /// After `prepare`, repeated `execute` calls must not grow any workspace
-/// or GPU scratch buffer — the delta of `workspace.alloc_bytes` across
-/// the steady-state loop is exactly zero for every format × strategy.
+/// or GPU scratch buffer — the executor's own growth count is unchanged
+/// across the steady-state loop for every format × strategy.
 #[test]
 fn steady_state_executes_allocate_nothing() {
-    if !spmm_trace::COMPILED_IN {
-        return; // nothing to measure without the telemetry feature
-    }
     let cases: Vec<(SparseFormat, Backend, Variant)> = SparseFormat::ALL
         .iter()
         .map(|&f| (f, Backend::Serial, Variant::Normal))
@@ -58,15 +53,13 @@ fn steady_state_executes_allocate_nothing() {
         exec.prepare(bench.coo(), &b).unwrap();
         exec.execute(&b, &[]).unwrap();
 
-        spmm_trace::set_trace_level(spmm_trace::TraceLevel::Full);
-        let before = spmm_trace::MetricsSnapshot::capture();
+        let before = exec.alloc_bytes();
+        assert!(before > 0, "prepare acquired the buffers");
         for _ in 0..3 {
             exec.execute(&b, &[]).unwrap();
         }
-        let delta = spmm_trace::MetricsSnapshot::capture().delta_since(&before);
-        spmm_trace::set_trace_level(spmm_trace::TraceLevel::Off);
         assert_eq!(
-            delta.counter("workspace.alloc_bytes").unwrap_or(0),
+            exec.alloc_bytes() - before,
             0,
             "{format}/{}/{} allocated in the steady state",
             backend.name(),

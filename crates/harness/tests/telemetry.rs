@@ -8,8 +8,9 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use spmm_core::{CooMatrix, DenseMatrix, SparseFormat};
 use spmm_harness::benchmark::{run, SuiteBenchmark};
+use spmm_harness::capability::{BackendClass, TABLE};
 use spmm_harness::json::Json;
-use spmm_harness::Params;
+use spmm_harness::{Executor, Op, Params, Planner, Variant};
 use spmm_kernels::FormatData;
 use spmm_trace::{MetricsSnapshot, TraceLevel};
 
@@ -114,6 +115,78 @@ fn metric_totals_match_a_hand_computed_spmm() {
     // The kernel still computes the right answer while being counted.
     let reference = coo.spmm_reference_k(&b, 8);
     assert!(c.max_abs_diff(&reference) < 1e-12);
+
+    // Every CPU SpMM kernel counts each call once, with its useful flops.
+    spmm_trace::set_trace_level(TraceLevel::Spans);
+    for row in TABLE
+        .iter()
+        .filter(|r| r.op == Op::Spmm && r.backend != BackendClass::Gpu)
+    {
+        for &format in row.formats {
+            let label = format!("{format}/{:?}", row.strategy);
+            let mut exec = engine_for(&coo, &b, format, row.backend, row.variant);
+            let before = MetricsSnapshot::capture();
+            exec.execute(&b, &[]).unwrap();
+            let delta = MetricsSnapshot::capture().delta_since(&before);
+            assert_eq!(delta.counter("spmm.kernel_calls"), Some(1), "{label}");
+            assert_eq!(delta.counter("spmm.flops"), Some(2 * 4 * 8), "{label}");
+            assert!(exec.result().max_abs_diff(&reference) < 1e-12, "{label}");
+        }
+    }
+    spmm_trace::set_trace_level(TraceLevel::Off);
+}
+
+/// A planned and prepared executor for one table row and format at k = 8.
+fn engine_for(
+    coo: &CooMatrix<f64>,
+    b: &DenseMatrix<f64>,
+    format: SparseFormat,
+    backend: BackendClass,
+    variant: Variant,
+) -> Executor {
+    let params = Params {
+        format,
+        backend: backend.backends()[0],
+        variant,
+        k: 8,
+        block: 2,
+        threads: 2,
+        ..Params::default()
+    };
+    let plan = Planner::new().plan(&coo.properties(), &params).unwrap();
+    let mut exec = Executor::new(plan);
+    exec.prepare(coo, b).unwrap();
+    exec
+}
+
+#[test]
+fn a_traced_prepare_records_its_b_pack() {
+    if !spmm_trace::COMPILED_IN {
+        return;
+    }
+    let _g = guard();
+    let coo = CooMatrix::from_triplets(4, 3, &[(0, 0, 1.0), (1, 2, 2.0), (3, 1, 3.0)]).unwrap();
+    let b = DenseMatrix::from_fn(3, 8, |i, j| (i * 8 + j) as f64);
+    spmm_trace::set_trace_level(TraceLevel::Spans);
+    spmm_trace::clear_spans();
+    let before = MetricsSnapshot::capture();
+    let exec = engine_for(
+        &coo,
+        &b,
+        SparseFormat::Csr,
+        BackendClass::Serial,
+        Variant::Tiled,
+    );
+    let delta = MetricsSnapshot::capture().delta_since(&before);
+    spmm_trace::set_trace_level(TraceLevel::Off);
+    let spans = spmm_trace::take_spans();
+
+    let panel_w = exec.plan().tile.expect("tiled plans pin a tile").panel_w;
+    assert_eq!(spans.iter().filter(|s| s.name == "pack").count(), 1);
+    assert_eq!(
+        delta.counter("tiled.panels_packed"),
+        Some(8usize.div_ceil(panel_w) as u64)
+    );
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! The full differential matrix: every (format × backend × variant ×
-//! schedule × op) combination the validation table admits, over both the
+//! schedule × op) combination the capability table lists, over both the
 //! adversarial and random corpora, routed through the Planner/Executor
 //! engine and compared against the Kahan oracle.
 //!

@@ -199,10 +199,6 @@ impl<T: Scalar, I: Index> FormatData<T, I> {
     }
 
     /// Serial SpMM.
-    ///
-    /// Note: harness-level code should reach this through the
-    /// [`crate::kernel_api::SpmmKernel`] trait (`kernel_api::kernel_for`)
-    /// rather than matching on backend/variant by hand.
     pub fn spmm_serial(&self, b: &DenseMatrix<T>, k: usize, c: &mut DenseMatrix<T>) {
         let _span = spmm_trace::span!("compute", "serial");
         self.record_spmm_metrics(k);
@@ -269,7 +265,6 @@ impl<T: Scalar, I: Index> FormatData<T, I> {
     /// only built transpose kernels for its four formats).
     pub fn spmm_serial_bt(&self, bt: &DenseMatrix<T>, k: usize, c: &mut DenseMatrix<T>) -> bool {
         let _span = spmm_trace::span!("compute", "serial_bt");
-        self.record_spmm_metrics(k);
         match self {
             FormatData::Coo(m) => transpose::coo_spmm_bt(m, bt, k, c),
             FormatData::Csr(m) => transpose::csr_spmm_bt(m, bt, k, c),
@@ -384,6 +379,7 @@ impl<T: Scalar, I: Index> FormatData<T, I> {
             _ => return false,
         }
         self.record_tiled_metrics(cfg, c.cols());
+        self.record_spmm_metrics(c.cols());
         true
     }
 
@@ -411,6 +407,7 @@ impl<T: Scalar, I: Index> FormatData<T, I> {
             _ => return false,
         }
         self.record_tiled_metrics(cfg, c.cols());
+        self.record_spmm_metrics(c.cols());
         true
     }
 
@@ -619,132 +616,6 @@ mod tests {
             data.spmm_parallel(&pool, 3, Schedule::Static, &b, 8, &mut c);
             let err = spmm_core::max_rel_error(&c, &expected);
             assert!(err < 1e-12, "{fmt} parallel err={err}");
-        }
-    }
-
-    #[test]
-    fn transpose_dispatch_covers_paper_formats_only() {
-        let (coo, b) = fixture();
-        let bt = b.transposed();
-        let expected = coo.spmm_reference_k(&b, 8);
-        for fmt in SparseFormat::ALL {
-            let data = FormatData::from_coo(fmt, &coo, 2).unwrap();
-            let mut c = DenseMatrix::zeros(40, 8);
-            let supported = data.spmm_serial_bt(&bt, 8, &mut c);
-            assert_eq!(supported, SparseFormat::PAPER.contains(&fmt), "{fmt}");
-            if supported {
-                assert_eq!(c, expected, "{fmt} bt");
-            }
-        }
-    }
-
-    #[test]
-    fn fixed_k_dispatch() {
-        let (coo, b16) = fixture();
-        let b = DenseMatrix::from_fn(25, 16, |i, j| b16.get(i, j % 8));
-        let expected = coo.spmm_reference_k(&b, 16);
-        let data = FormatData::from_coo(SparseFormat::Csr, &coo, 4).unwrap();
-        let mut c = DenseMatrix::zeros(40, 16);
-        assert!(data.spmm_serial_fixed_k(&b, 16, &mut c));
-        assert_eq!(c, expected);
-        // Unsupported k.
-        let mut c = DenseMatrix::zeros(40, 9);
-        let b9 = DenseMatrix::from_fn(25, 9, |_, _| 0.0);
-        assert!(!data.spmm_serial_fixed_k(&b9, 9, &mut c));
-    }
-
-    #[test]
-    fn tiled_dispatch_covers_csr_ell_bcsr() {
-        let (coo, b) = fixture();
-        let expected = coo.spmm_reference_k(&b, 8);
-        let pool = ThreadPool::new(2);
-        let cfg = TileConfig::new(3, 4);
-        let packed = cfg.pack(&b, 8);
-        for fmt in SparseFormat::ALL {
-            let data = FormatData::from_coo(fmt, &coo, 4).unwrap();
-            let supported = matches!(
-                fmt,
-                SparseFormat::Csr | SparseFormat::Ell | SparseFormat::Bcsr
-            );
-            let mut c = DenseMatrix::zeros(40, 8);
-            assert_eq!(
-                data.spmm_serial_tiled(&packed, cfg, &mut c),
-                supported,
-                "{fmt}"
-            );
-            if supported {
-                assert!(c.max_abs_diff(&expected) < 1e-12, "{fmt} tiled serial");
-            }
-            let mut c = DenseMatrix::zeros(40, 8);
-            let ran = data.spmm_parallel_tiled(&pool, 2, Schedule::Guided(1), &packed, cfg, &mut c);
-            assert_eq!(ran, supported, "{fmt}");
-            if supported {
-                assert!(c.max_abs_diff(&expected) < 1e-12, "{fmt} tiled parallel");
-            }
-        }
-    }
-
-    #[test]
-    fn simd_dispatch_covers_vector_formats() {
-        let (coo, b) = fixture();
-        let expected = coo.spmm_reference_k(&b, 8);
-        let simd_formats = [
-            SparseFormat::Csr,
-            SparseFormat::Ell,
-            SparseFormat::Bcsr,
-            SparseFormat::Sell,
-        ];
-        for fmt in SparseFormat::ALL {
-            let data = FormatData::from_coo(fmt, &coo, 4).unwrap();
-            let supported = simd_formats.contains(&fmt);
-            for level in [SimdLevel::Scalar, simd::hardware_level()] {
-                let mut c = DenseMatrix::zeros(40, 8);
-                assert_eq!(
-                    data.spmm_serial_simd_at(level, &b, 8, &mut c),
-                    supported,
-                    "{fmt}"
-                );
-                if supported {
-                    assert!(
-                        c.max_abs_diff(&expected) < 1e-12,
-                        "{fmt} simd {}",
-                        level.name()
-                    );
-                }
-            }
-            // The active-level wrapper agrees with its explicit twin.
-            let mut c = DenseMatrix::zeros(40, 8);
-            assert_eq!(data.spmm_serial_simd(&b, 8, &mut c), supported, "{fmt}");
-            if supported {
-                assert!(c.max_abs_diff(&expected) < 1e-12, "{fmt} simd active");
-            }
-        }
-    }
-
-    #[test]
-    fn simd_spmv_dispatch_adds_sell() {
-        let (coo, _) = fixture();
-        let x: Vec<f64> = (0..25).map(|i| i as f64 * 0.25 - 2.0).collect();
-        let expected = coo.spmv_reference(&x);
-        for fmt in SparseFormat::ALL {
-            let data = FormatData::from_coo(fmt, &coo, 2).unwrap();
-            let supported = matches!(fmt, SparseFormat::Csr | SparseFormat::Sell);
-            for level in [SimdLevel::Scalar, simd::hardware_level()] {
-                let mut y = vec![0.0; 40];
-                assert_eq!(
-                    data.spmv_serial_simd_at(level, &x, &mut y),
-                    supported,
-                    "{fmt}"
-                );
-                if supported {
-                    let worst = y
-                        .iter()
-                        .zip(&expected)
-                        .map(|(a, b)| (a - b).abs())
-                        .fold(0.0f64, f64::max);
-                    assert!(worst < 1e-12, "{fmt} simd spmv {}", level.name());
-                }
-            }
         }
     }
 

@@ -77,11 +77,9 @@ impl TileConfig {
 
     /// Pack the first `k` columns of `b` into panels of this width.
     pub fn pack<T: Scalar>(&self, b: &DenseMatrix<T>, k: usize) -> PackedPanels<T> {
-        let _span = spmm_trace::span!("pack");
-        if spmm_trace::enabled() {
-            spmm_trace::counter("tiled.panels_packed").add(k.div_ceil(self.panel_w.max(1)) as u64);
-        }
-        PackedPanels::pack(b, k, self.panel_w)
+        let mut packed = PackedPanels::empty();
+        pack_into(&mut packed, b, k, self.panel_w);
+        packed
     }
 
     /// The largest supported register-tile height ≤ `row_block`.
@@ -92,6 +90,24 @@ impl TileConfig {
             _ => 4,
         }
     }
+}
+
+/// Pack the first `k` columns of `b` into `panel_w`-wide panels in
+/// `packed`, reusing its buffers. Every B pack goes through here
+/// ([`TileConfig::pack`] and `Workspace::acquire_packed`), so each one
+/// records a `pack` span and its `tiled.panels_packed` count. Returns
+/// `true` if a buffer grew.
+pub(crate) fn pack_into<T: Scalar>(
+    packed: &mut PackedPanels<T>,
+    b: &DenseMatrix<T>,
+    k: usize,
+    panel_w: usize,
+) -> bool {
+    let _span = spmm_trace::span!("pack");
+    if spmm_trace::enabled() {
+        spmm_trace::counter("tiled.panels_packed").add(k.div_ceil(panel_w.max(1)) as u64);
+    }
+    packed.pack_into(b, k, panel_w)
 }
 
 /// Validate the tiled kernel contract (the packed-B analogue of

@@ -5,28 +5,16 @@
 //! vector, the Study-8 transposed B, the tiled engine's packed panels and
 //! the nnz-balanced row partition — lives here and is grown once during
 //! plan preparation, then reused verbatim by every timed iteration and by
-//! back-to-back study points of compatible shape. Growth and reuse are
-//! counted in the `spmm-trace` metrics registry (`workspace.alloc_bytes`,
-//! `workspace.alloc_count`, `workspace.reuse_count`), which is how the
-//! harness asserts the timed loop performs zero allocations.
+//! back-to-back study points of compatible shape. Each workspace counts
+//! its own growth ([`Workspace::alloc_bytes`]), which is how the harness
+//! asserts the timed loop performs zero allocations; growth and reuse are
+//! also counted in the `spmm-trace` metrics registry
+//! (`workspace.alloc_bytes`, `workspace.alloc_count`,
+//! `workspace.reuse_count`).
 
 use std::ops::Range;
 
 use spmm_core::{DenseMatrix, PackedPanels, Scalar};
-
-/// Record one acquire in the metrics registry: an allocation (the buffer
-/// grew by `bytes`) or a reuse.
-fn note(grew: bool, bytes: usize) {
-    if !spmm_trace::enabled() {
-        return;
-    }
-    if grew {
-        spmm_trace::counter("workspace.alloc_count").inc();
-        spmm_trace::counter("workspace.alloc_bytes").add(bytes as u64);
-    } else {
-        spmm_trace::counter("workspace.reuse_count").inc();
-    }
-}
 
 /// The arena of reusable buffers threaded through the executor.
 #[derive(Debug)]
@@ -36,6 +24,7 @@ pub struct Workspace<T> {
     packed: PackedPanels<T>,
     y: Vec<T>,
     partition: Vec<Range<usize>>,
+    alloc_bytes: u64,
 }
 
 impl<T: Scalar> Default for Workspace<T> {
@@ -53,13 +42,36 @@ impl<T: Scalar> Workspace<T> {
             packed: PackedPanels::empty(),
             y: Vec::new(),
             partition: Vec::new(),
+            alloc_bytes: 0,
+        }
+    }
+
+    /// Bytes this workspace's buffers have grown by since it was made.
+    pub fn alloc_bytes(&self) -> u64 {
+        self.alloc_bytes
+    }
+
+    /// Record one acquire: an allocation (the buffer grew by `bytes`) or
+    /// a reuse, in this workspace's own count and the metrics registry.
+    fn note(&mut self, grew: bool, bytes: usize) {
+        if grew {
+            self.alloc_bytes += bytes as u64;
+        }
+        if !spmm_trace::enabled() {
+            return;
+        }
+        if grew {
+            spmm_trace::counter("workspace.alloc_count").inc();
+            spmm_trace::counter("workspace.alloc_bytes").add(bytes as u64);
+        } else {
+            spmm_trace::counter("workspace.reuse_count").inc();
         }
     }
 
     /// Acquire the output matrix at `rows × k`, zeroed.
     pub fn acquire_c(&mut self, rows: usize, k: usize) -> &mut DenseMatrix<T> {
         let grew = self.c.reset(rows, k);
-        note(grew, rows * k * std::mem::size_of::<T>());
+        self.note(grew, rows * k * std::mem::size_of::<T>());
         &mut self.c
     }
 
@@ -77,7 +89,7 @@ impl<T: Scalar> Workspace<T> {
     /// Acquire the SpMV output vector at `rows`, zeroed.
     pub fn acquire_y(&mut self, rows: usize) -> &mut Vec<T> {
         let grew = rows > self.y.capacity();
-        note(grew, rows * std::mem::size_of::<T>());
+        self.note(grew, rows * std::mem::size_of::<T>());
         self.y.clear();
         self.y.resize(rows, T::ZERO);
         &mut self.y
@@ -91,7 +103,7 @@ impl<T: Scalar> Workspace<T> {
     /// Transpose `b` into the workspace's scratch (Study 8's pre-pass).
     pub fn acquire_bt(&mut self, b: &DenseMatrix<T>) -> &DenseMatrix<T> {
         let grew = b.transposed_into(&mut self.bt);
-        note(grew, b.rows() * b.cols() * std::mem::size_of::<T>());
+        self.note(grew, b.rows() * b.cols() * std::mem::size_of::<T>());
         &self.bt
     }
 
@@ -108,8 +120,8 @@ impl<T: Scalar> Workspace<T> {
         k: usize,
         panel_w: usize,
     ) -> &PackedPanels<T> {
-        let grew = self.packed.pack_into(b, k, panel_w);
-        note(grew, b.rows() * k * std::mem::size_of::<T>());
+        let grew = crate::tiled::pack_into(&mut self.packed, b, k, panel_w);
+        self.note(grew, b.rows() * k * std::mem::size_of::<T>());
         &self.packed
     }
 
@@ -127,7 +139,7 @@ impl<T: Scalar> Workspace<T> {
         prefix: impl Fn(usize) -> usize,
     ) -> &[Range<usize>] {
         let grew = parts.max(1) > self.partition.capacity();
-        note(grew, parts.max(1) * std::mem::size_of::<Range<usize>>());
+        self.note(grew, parts.max(1) * std::mem::size_of::<Range<usize>>());
         spmm_parallel::balanced_partition_into(n, parts, prefix, &mut self.partition);
         &self.partition
     }
@@ -179,6 +191,8 @@ mod tests {
         // Smaller shape also fits the existing allocation.
         ws.acquire_c(4, 4);
         assert_eq!((ws.c().rows(), ws.c().cols()), (4, 4));
+        // Only the first acquire grew the arena.
+        assert_eq!(ws.alloc_bytes(), 16 * 8 * 8);
     }
 
     #[test]
